@@ -30,24 +30,7 @@ var benchPolicies = []molecular.ReplacementKind{
 // pass). After warmup the stream hits forever.
 func hotCache(tb testing.TB, policy molecular.ReplacementKind, mols, lineFactor int, reference bool) (*molecular.Cache, []trace.Ref) {
 	tb.Helper()
-	c, err := molecular.New(molecular.Config{
-		TotalSize:       1 * addr.MB,
-		MoleculeSize:    8 * addr.KB,
-		TilesPerCluster: 4,
-		Policy:          policy,
-		Seed:            2006,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	c.UseReferenceProbe(reference)
-	if _, err := c.CreateRegion(1, molecular.RegionOptions{
-		HomeCluster: 0, HomeTile: 0,
-		InitialMolecules: mols,
-		LineFactor:       lineFactor,
-	}); err != nil {
-		tb.Fatal(err)
-	}
+	c := benchCache(tb, policy, mols, lineFactor, reference)
 	linesPerMol := int(c.Config().MoleculeSize / c.Config().LineSize)
 	ws := linesPerMol
 	if policy == molecular.LRUDirect {
@@ -69,6 +52,32 @@ func hotCache(tb testing.TB, policy molecular.ReplacementKind, mols, lineFactor 
 		}
 	}
 	return c, refs
+}
+
+// benchCache builds the grid's cache: 1 MB of 8 KB molecules (128 lines
+// each), four tiles per cluster, and one region of exactly `mols`
+// molecules for ASID 1.
+func benchCache(tb testing.TB, policy molecular.ReplacementKind, mols, lineFactor int, reference bool) *molecular.Cache {
+	tb.Helper()
+	c, err := molecular.New(molecular.Config{
+		TotalSize:       1 * addr.MB,
+		MoleculeSize:    8 * addr.KB,
+		TilesPerCluster: 4,
+		Policy:          policy,
+		Seed:            2006,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c.UseReferenceProbe(reference)
+	if _, err := c.CreateRegion(1, molecular.RegionOptions{
+		HomeCluster: 0, HomeTile: 0,
+		InitialMolecules: mols,
+		LineFactor:       lineFactor,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return c
 }
 
 // benchAccessHot drives the warmed hit stream through one configuration.
@@ -117,6 +126,50 @@ func TestAccessHotPathZeroAllocs(t *testing.T) {
 		}
 		if c.Ledger().Total.Hits == hitsBefore {
 			t.Errorf("reference=%v: warmed stream did not hit; the property is vacuous", reference)
+		}
+	}
+}
+
+// TestAccessMissPathZeroAllocs extends the hot-path guard to misses: in
+// a full region, a steady miss stream (each access evicts a resident
+// line and installs another, so the block index removes and adds
+// entries at a fixed population) allocates nothing on the fast path.
+// The region holds 23 molecules × 128 lines = 2944 resident lines, 128
+// short of 3/4 of a 4096-slot index table: an index that re-tabled at a
+// fixed population whenever deleted entries filled that margin would
+// allocate every 128 removals, several times per run of 512 misses.
+func TestAccessMissPathZeroAllocs(t *testing.T) {
+	const mols = 23
+	for _, lf := range []int{1, 4} {
+		c := benchCache(t, molecular.RandyReplacement, mols, lf, false)
+		lines := mols * int(c.Config().MoleculeSize/c.Config().LineSize)
+		// A cyclic stream over 8× the region's capacity, one access per
+		// lf-line fill group, so (almost) every access misses.
+		refs := make([]trace.Ref, 8*lines/lf)
+		for i := range refs {
+			refs[i] = trace.Ref{Addr: uint64(i*lf) * c.Config().LineSize, ASID: 1, Kind: trace.Read}
+		}
+		i := 0
+		access := func() {
+			for n := 0; n < 512; n++ {
+				c.Access(refs[i%len(refs)])
+				i++
+			}
+		}
+		for pass := 0; pass < 2*len(refs)/512; pass++ {
+			access()
+		}
+		r := c.Region(1)
+		if r.IndexSize() != lines {
+			t.Fatalf("lf=%d: warmed region holds %d lines, want it full at %d", lf, r.IndexSize(), lines)
+		}
+		missesBefore := c.Ledger().Total.Misses
+		allocs := testing.AllocsPerRun(50, access)
+		if allocs != 0 {
+			t.Errorf("lf=%d: %v allocs per 512 misses, want 0", lf, allocs)
+		}
+		if misses := c.Ledger().Total.Misses - missesBefore; misses < 51*512*9/10 {
+			t.Errorf("lf=%d: only %d of %d measured accesses missed; the property is vacuous", lf, misses, 51*512)
 		}
 	}
 }

@@ -8,17 +8,16 @@ import "math/bits"
 // map it replaces was the single largest cost of a steady-state hit —
 // the generic hashing and bucket machinery cost more than the rest of
 // the lookup combined. This table does one multiply and, at the load
-// factors it maintains, usually one probe; lookups never allocate, and
-// growth happens only on insert, which is the miss path.
+// factors it maintains, usually one probe.
 //
-// Deletion marks a tombstone (a dead slot that keeps probe chains
-// intact); a rebuild amortizes tombstones away whenever live+dead
-// entries would pass 3/4 of capacity. Key 0 is a legal block number,
-// so slot state lives in the value pointer: nil = never used,
-// tombstoneMolecule = deleted.
-
-// tombstoneMolecule marks a deleted slot; it is never handed out.
-var tombstoneMolecule = &Molecule{id: -1}
+// Deletion is backward-shift (Knuth's Algorithm R): the freed slot is
+// refilled from later in its probe run, so no slot is left marked as
+// deleted and a fixed population churning through remove+set — a full
+// region's steady miss stream — never re-tables. The entry array is
+// re-allocated only when the live population crosses 3/4 of capacity
+// (grow) or falls below 1/8 (shrink), so neither hits nor steady-state
+// misses allocate. Key 0 is a legal block number, so slot state lives
+// in the value pointer: nil = empty.
 
 // blockMapMinSize is the smallest (and initial) table capacity.
 const blockMapMinSize = 64
@@ -39,8 +38,10 @@ type blockMap struct {
 	// starting slot, so no masking is needed on the first probe.
 	shift uint
 	live  int
-	dead  int
 }
+
+// home returns b's preferred slot.
+func (t *blockMap) home(b uint64) uint64 { return (b * blockHashMul) >> t.shift }
 
 // get returns the molecule holding block b, or nil.
 func (t *blockMap) get(b uint64) *Molecule {
@@ -48,49 +49,34 @@ func (t *blockMap) get(b uint64) *Molecule {
 		return nil
 	}
 	mask := uint64(len(t.entries) - 1)
-	i := (b * blockHashMul) >> t.shift
-	for {
+	for i := t.home(b); ; i = (i + 1) & mask {
 		e := &t.entries[i]
 		if e.val == nil {
 			return nil
 		}
-		if e.key == b && e.val != tombstoneMolecule {
+		if e.key == b {
 			return e.val
 		}
-		i = (i + 1) & mask
 	}
 }
 
 // set binds block b to molecule m, updating in place if b is present.
 func (t *blockMap) set(b uint64, m *Molecule) {
-	if len(t.entries) == 0 || (t.live+t.dead+1)*4 > len(t.entries)*3 {
-		t.rebuild()
+	if (t.live+1)*4 > len(t.entries)*3 {
+		t.resize()
 	}
 	mask := uint64(len(t.entries) - 1)
-	i := (b * blockHashMul) >> t.shift
-	free := -1
-	for {
+	for i := t.home(b); ; i = (i + 1) & mask {
 		e := &t.entries[i]
 		if e.val == nil {
-			// End of the probe chain: b is absent. Reuse the first
-			// tombstone passed on the way, if any.
-			if free >= 0 {
-				e = &t.entries[free]
-				t.dead--
-			}
 			e.key, e.val = b, m
 			t.live++
 			return
 		}
-		if e.val == tombstoneMolecule {
-			if free < 0 {
-				free = int(i)
-			}
-		} else if e.key == b {
+		if e.key == b {
 			e.val = m
 			return
 		}
-		i = (i + 1) & mask
 	}
 }
 
@@ -102,23 +88,35 @@ func (t *blockMap) remove(b uint64, m *Molecule) bool {
 		return false
 	}
 	mask := uint64(len(t.entries) - 1)
-	i := (b * blockHashMul) >> t.shift
-	for {
-		e := &t.entries[i]
+	hole := t.home(b)
+	for ; ; hole = (hole + 1) & mask {
+		e := &t.entries[hole]
 		if e.val == nil {
 			return false
 		}
-		if e.key == b && e.val != tombstoneMolecule {
+		if e.key == b {
 			if e.val != m {
 				return false
 			}
-			e.val = tombstoneMolecule
-			t.live--
-			t.dead++
-			return true
+			break
 		}
-		i = (i + 1) & mask
 	}
+	// Walk the rest of the run. An entry at j whose home slot lies
+	// cyclically in (hole, j] is reachable without passing the hole and
+	// stays; any other would be cut off by it, so it moves into the
+	// hole and its old slot becomes the new hole.
+	for j := (hole + 1) & mask; t.entries[j].val != nil; j = (j + 1) & mask {
+		if (j-t.home(t.entries[j].key))&mask >= (j-hole)&mask {
+			t.entries[hole] = t.entries[j]
+			hole = j
+		}
+	}
+	t.entries[hole] = blockEntry{}
+	t.live--
+	if t.live*8 < len(t.entries) && len(t.entries) > blockMapMinSize {
+		t.resize()
+	}
+	return true
 }
 
 // size returns the number of live entries.
@@ -129,34 +127,34 @@ func (t *blockMap) size() int { return t.live }
 // it exists to build snapshots and run audits.
 func (t *blockMap) each(f func(b uint64, m *Molecule)) {
 	for i := range t.entries {
-		if v := t.entries[i].val; v != nil && v != tombstoneMolecule {
+		if v := t.entries[i].val; v != nil {
 			f(t.entries[i].key, v)
 		}
 	}
 }
 
-// rebuild re-tables every live entry into a capacity sized for the
-// current population (dropping all tombstones), growing as needed to
-// keep the post-insert load under 3/4.
-func (t *blockMap) rebuild() {
+// resize re-tables every live entry into the smallest capacity that
+// holds one more than the current population at no more than half
+// load: a grow doubles the table, and a shrink leaves it at most half
+// full and, above the minimum size, at least a quarter full — well clear
+// of both thresholds.
+func (t *blockMap) resize() {
 	size := blockMapMinSize
-	for (t.live+1)*4 > size*3 {
+	for (t.live+1)*2 > size {
 		size <<= 1
 	}
 	old := t.entries
 	t.entries = make([]blockEntry, size)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	t.live, t.dead = 0, 0
 	mask := uint64(size - 1)
 	for _, e := range old {
-		if e.val == nil || e.val == tombstoneMolecule {
+		if e.val == nil {
 			continue
 		}
-		i := (e.key * blockHashMul) >> t.shift
+		i := t.home(e.key)
 		for t.entries[i].val != nil {
 			i = (i + 1) & mask
 		}
 		t.entries[i] = e
-		t.live++
 	}
 }

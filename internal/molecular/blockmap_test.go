@@ -3,10 +3,12 @@ package molecular
 // Direct tests of the open-addressed block → molecule table. The
 // differential oracle and the index property tests exercise it through
 // the cache; these pin the table's own contract — including the states
-// a full simulation may take long to reach (tombstone churn at a fixed
-// population, key 0, conditional removal against the wrong holder).
+// a full simulation may take long to reach (churn at a fixed population,
+// backward-shift deletion across the wrap-around, key 0, conditional
+// removal against the wrong holder).
 
 import (
+	"slices"
 	"testing"
 
 	"molcache/internal/rng"
@@ -42,10 +44,11 @@ func TestBlockMapBasics(t *testing.T) {
 	}
 }
 
-// TestBlockMapTombstoneChurn holds the population fixed while cycling
-// keys through insert/delete far past the table capacity: rebuilds must
-// reclaim tombstones instead of growing without bound.
-func TestBlockMapTombstoneChurn(t *testing.T) {
+// TestBlockMapChurn holds the population fixed while cycling keys
+// through insert/delete far past the table capacity: backward-shift
+// deletion leaves no dead slots, so the table must neither grow without
+// bound nor lose a key; once most keys are gone it must shrink back.
+func TestBlockMapChurn(t *testing.T) {
 	var bm blockMap
 	m := &Molecule{id: 3}
 	const population = 100
@@ -62,7 +65,7 @@ func TestBlockMapTombstoneChurn(t *testing.T) {
 		}
 	}
 	if cap := len(bm.entries); cap > 1024 {
-		t.Errorf("table grew to %d slots for a population of %d; tombstones leak", cap, population)
+		t.Errorf("table grew to %d slots for a population of %d", cap, population)
 	}
 	seen := 0
 	bm.each(func(k uint64, got *Molecule) {
@@ -74,6 +77,63 @@ func TestBlockMapTombstoneChurn(t *testing.T) {
 	if seen != population {
 		t.Errorf("each visited %d entries, want %d", seen, population)
 	}
+
+	// Grow far past the churn population, then delete nearly
+	// everything: the table must give the memory back.
+	const big = 10_000
+	for k := uint64(1 << 20); k < 1<<20+big; k++ {
+		bm.set(k, m)
+	}
+	grown := len(bm.entries)
+	for k := uint64(1 << 20); k < 1<<20+big; k++ {
+		if !bm.remove(k, m) {
+			t.Fatalf("key %#x missing before its deletion", k)
+		}
+	}
+	const keep = 10
+	first := uint64(100_000) // the churn loop's surviving keys start here
+	for k := first + keep; k < first+population; k++ {
+		if !bm.remove(k, m) {
+			t.Fatalf("key %d missing before its deletion", k)
+		}
+	}
+	if cap := len(bm.entries); cap > 2*blockMapMinSize {
+		t.Errorf("table still %d slots (grown to %d) for %d live keys; want near the %d minimum",
+			cap, grown, bm.size(), blockMapMinSize)
+	}
+	for k := first; k < first+keep; k++ {
+		if bm.get(k) != m {
+			t.Fatalf("key %d lost across grow and shrink", k)
+		}
+	}
+}
+
+// TestBlockMapChurnZeroAllocs pins that a fixed population churning
+// through remove+set — a full region's steady miss stream — never
+// re-tables, even just under the 3/4 grow threshold of a power-of-two
+// table, where a rebuild sized for the live population would land on
+// the same capacity and be redone every few pairs.
+func TestBlockMapChurnZeroAllocs(t *testing.T) {
+	for _, population := range []int{47, 95, 190, 3070} {
+		var bm blockMap
+		m := &Molecule{id: 4}
+		for k := 0; k < population; k++ {
+			bm.set(uint64(k), m)
+		}
+		oldest := uint64(0)
+		allocs := testing.AllocsPerRun(2000, func() {
+			bm.remove(oldest, m)
+			bm.set(oldest+uint64(population), m)
+			oldest++
+		})
+		if allocs != 0 {
+			t.Errorf("population %d in %d slots: %v allocs per remove+set, want 0",
+				population, len(bm.entries), allocs)
+		}
+		if bm.size() != population {
+			t.Errorf("population %d: size drifted to %d", population, bm.size())
+		}
+	}
 }
 
 // TestBlockMapMirrorsMap drives a randomized op mix against the table
@@ -83,8 +143,9 @@ func TestBlockMapMirrorsMap(t *testing.T) {
 	oracle := make(map[uint64]*Molecule)
 	mols := []*Molecule{{id: 0}, {id: 1}, {id: 2}}
 	src := rng.New(0xb10c)
+	const keySpace = 4096
 	for i := 0; i < 200_000; i++ {
-		k := uint64(src.Intn(4096))
+		k := uint64(src.Intn(keySpace))
 		switch src.Intn(3) {
 		case 0:
 			m := mols[src.Intn(len(mols))]
@@ -112,4 +173,62 @@ func TestBlockMapMirrorsMap(t *testing.T) {
 			t.Errorf("each yielded %d → %v, oracle %v", k, m, oracle[k])
 		}
 	})
+
+	// Delete-heavy phase: drain every key, checking the survivors after
+	// each removal while the table shrinks back to its minimum size.
+	for k := uint64(0); k < keySpace; k++ {
+		m, ok := oracle[k]
+		if !ok {
+			continue
+		}
+		if !bm.remove(k, m) {
+			t.Fatalf("drain: remove(%d) missed", k)
+		}
+		delete(oracle, k)
+		for j := k + 1; j < keySpace && j < k+64; j++ {
+			if bm.get(j) != oracle[j] {
+				t.Fatalf("drain: after remove(%d), get(%d) = %v, oracle %v", k, j, bm.get(j), oracle[j])
+			}
+		}
+	}
+	if bm.size() != 0 || len(bm.entries) != blockMapMinSize {
+		t.Fatalf("drained table: size %d, %d slots; want 0 in %d", bm.size(), len(bm.entries), blockMapMinSize)
+	}
+
+	// Wrap-around: keys homed on the table's last two slots and on its
+	// first two form one probe run that crosses index 0. Deleting from
+	// its middle must shift members back across the boundary where they
+	// belong, and must leave a member already at its home (just past the
+	// boundary) in place when the hole is on the far side of it.
+	last := uint64(len(bm.entries) - 1)
+	var run []uint64
+	for _, home := range []uint64{last - 1, last - 1, last, last, 0, 0, 1, 1} {
+		k := uint64(1 << 32)
+		for bm.home(k) != home || slices.Contains(run, k) {
+			k++
+		}
+		run = append(run, k)
+	}
+	for i, k := range run {
+		bm.set(k, mols[i%len(mols)])
+		oracle[k] = mols[i%len(mols)]
+	}
+	if bm.entries[last].val == nil || bm.entries[0].val == nil {
+		t.Fatal("wrap-around keys did not form a run across index 0")
+	}
+	for _, i := range []int{3, 2, 1, 6} {
+		k := run[i]
+		if !bm.remove(k, oracle[k]) {
+			t.Fatalf("wrap: remove(%#x) missed", k)
+		}
+		delete(oracle, k)
+		for _, j := range run {
+			if bm.get(j) != oracle[j] {
+				t.Fatalf("wrap: after remove(%#x), get(%#x) = %v, oracle %v", k, j, bm.get(j), oracle[j])
+			}
+		}
+	}
+	if bm.size() != len(oracle) {
+		t.Fatalf("wrap: size %d, oracle %d", bm.size(), len(oracle))
+	}
 }

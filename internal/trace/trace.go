@@ -113,6 +113,10 @@ func (tw *Writer) Flush() error {
 // Reader decodes the binary trace format.
 type Reader struct {
 	r *bufio.Reader
+	// buf is the record being decoded. As a field it stays with the
+	// Reader; a local array would escape through io.ReadFull's
+	// interface call and cost an allocation per record.
+	buf [recordSize]byte
 }
 
 // ErrBadMagic is returned by NewReader when the stream does not start
@@ -137,8 +141,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 
 // Read returns the next record, or io.EOF at the end of the trace.
 func (tr *Reader) Read() (Ref, error) {
-	var buf [recordSize]byte
-	if _, err := io.ReadFull(tr.r, buf[:]); err != nil {
+	buf := tr.buf[:]
+	if _, err := io.ReadFull(tr.r, buf); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return Ref{}, fmt.Errorf("trace: truncated record: %w", err)
 		}

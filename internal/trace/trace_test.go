@@ -89,6 +89,40 @@ func TestTruncatedRecord(t *testing.T) {
 	}
 }
 
+// TestReaderReadZeroAllocs pins that decoding a binary record allocates
+// nothing: the replay loop calls Read once per access.
+func TestReaderReadZeroAllocs(t *testing.T) {
+	const n = 1000
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := 0; i < n+1; i++ { // AllocsPerRun adds one warm-up call
+		if err := w.Write(Ref{Addr: uint64(i) << 6, ASID: uint16(i % 4), CPU: uint8(i % 8), Kind: Kind(i & 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := uint64(0)
+	allocs := testing.AllocsPerRun(n, func() {
+		ref, err := r.Read()
+		if err != nil || ref.Addr != i<<6 {
+			t.Fatalf("record %d: %v, %v", i, ref, err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per Read, want 0", allocs)
+	}
+	if _, err := r.Read(); err != io.EOF {
+		t.Errorf("Read past the last record = %v, want io.EOF", err)
+	}
+}
+
 func TestTextRoundTrip(t *testing.T) {
 	refs := sampleRefs()
 	var buf bytes.Buffer
