@@ -75,14 +75,16 @@ type line struct {
 // Cache is a trace-driven set-associative cache with write-back,
 // write-allocate semantics. It implements engine.Cache.
 type Cache struct {
-	cfg    Config
-	sets   int
-	ways   int
-	shift  uint // log2(lineSize)
-	mask   uint64
-	lines  []line // sets*ways, way-major within a set
-	policy Policy
-	ledger stats.Ledger
+	cfg   Config
+	sets  int
+	ways  int
+	shift uint // log2(lineSize)
+	// setBits is log2(sets), the shift from block number to tag.
+	setBits uint
+	mask    uint64
+	lines   []line // sets*ways, way-major within a set
+	policy  Policy
+	ledger  stats.Ledger
 
 	// ins holds the telemetry instruments (nil by default: the access
 	// path pays one pointer check when metrics are off).
@@ -105,13 +107,14 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	return &Cache{
-		cfg:    cfg,
-		sets:   sets,
-		ways:   cfg.Ways,
-		shift:  addr.Log2(cfg.LineSize),
-		mask:   uint64(sets - 1),
-		lines:  make([]line, sets*cfg.Ways),
-		policy: policy,
+		cfg:     cfg,
+		sets:    sets,
+		ways:    cfg.Ways,
+		shift:   addr.Log2(cfg.LineSize),
+		setBits: addr.Log2(uint64(sets)),
+		mask:    uint64(sets - 1),
+		lines:   make([]line, sets*cfg.Ways),
+		policy:  policy,
 	}, nil
 }
 
@@ -137,7 +140,7 @@ func (c *Cache) Ledger() *stats.Ledger { return &c.ledger }
 func (c *Cache) Access(r trace.Ref) engine.Result {
 	block := r.Addr >> c.shift
 	set := int(block & c.mask)
-	tag := block >> addr.Log2(uint64(c.sets))
+	tag := block >> c.setBits
 	base := set * c.ways
 
 	res := engine.Result{TagProbes: c.ways, DataReads: 1}
@@ -226,7 +229,7 @@ func (c *Cache) Downgrade(a uint64) (present, wasDirty bool) {
 func (c *Cache) find(a uint64) (set, way int, ln *line) {
 	block := a >> c.shift
 	set = int(block & c.mask)
-	tag := block >> addr.Log2(uint64(c.sets))
+	tag := block >> c.setBits
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
 		if c.lines[base+w].valid && c.lines[base+w].tag == tag {
@@ -246,7 +249,7 @@ func (c *Cache) EachLine(fn func(a uint64, asid uint16, dirty bool)) {
 			continue
 		}
 		set := uint64(i / c.ways)
-		a := ((ln.tag << addr.Log2(uint64(c.sets))) | set) << c.shift
+		a := ((ln.tag << c.setBits) | set) << c.shift
 		fn(a, ln.asid, ln.dirty)
 	}
 }

@@ -127,16 +127,16 @@ func (c Config) Name() string {
 type Cache struct {
 	cfg      Config
 	clusters []*Cluster
+	// regions is indexed by ASID (nil where no region exists), grown to
+	// the largest ASID admitted: the per-access lookups, the shared
+	// region's at SharedASID included, are a bounds check and a load
+	// rather than a map hash.
 	//molvet:transient lookup index rebuilt from the restored regionList by RestoreCache
-	regions map[uint16]*Region
+	regions []*Region
 	// regionList mirrors regions sorted by ASID, so the coherence paths
 	// (Contains/Invalidate) and the index gauges iterate deterministically
 	// without rebuilding a slice per call.
 	regionList []*Region
-	// sharedRegion caches the SharedASID region (nil until created);
-	// the lookup paths consult it on every access and every tile probe.
-	//molvet:transient memo re-derived from the restored region set
-	sharedRegion *Region
 	// molsByID indexes every molecule by its global ID (fault targeting
 	// and invariant capture).
 	molsByID []*Molecule
@@ -210,7 +210,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg:         cfg,
-		regions:     make(map[uint16]*Region),
 		linesPerMol: cfg.MoleculeSize / cfg.LineSize,
 		lineShift:   uint(bits.TrailingZeros64(cfg.LineSize)),
 		probes:      stats.NewHistogram(cfg.MoleculesPerTile()*cfg.TilesPerCluster + 1),
@@ -289,7 +288,7 @@ type RegionOptions struct {
 // "Ground Zero": the initial allocation (default: half the home tile) is
 // drawn from the home tile's free pool, falling back to cluster siblings.
 func (c *Cache) CreateRegion(asid uint16, opts RegionOptions) (*Region, error) {
-	if _, ok := c.regions[asid]; ok {
+	if c.Region(asid) != nil {
 		return nil, fmt.Errorf("molecular: region for ASID %d already exists", asid)
 	}
 	ci := opts.HomeCluster
@@ -326,12 +325,7 @@ func (c *Cache) CreateRegion(asid uint16, opts RegionOptions) (*Region, error) {
 		byTile:     make([][]*Molecule, c.cfg.Clusters*c.cfg.TilesPerCluster),
 		src:        rng.New(c.cfg.Seed ^ uint64(asid)<<20 ^ 0xbeef),
 	}
-	r.appCell = c.ledger.AppRef(asid)
-	c.regions[asid] = r
-	if asid == SharedASID {
-		c.sharedRegion = r
-	}
-	c.regionList = append(c.regionList, r)
+	c.addRegion(r)
 	sort.Slice(c.regionList, func(i, j int) bool {
 		return c.regionList[i].asid < c.regionList[j].asid
 	})
@@ -375,7 +369,26 @@ func (c *Cache) growSpread(r *Region, n int) {
 }
 
 // Region returns the partition for asid, or nil.
-func (c *Cache) Region(asid uint16) *Region { return c.regions[asid] }
+func (c *Cache) Region(asid uint16) *Region {
+	if int(asid) < len(c.regions) {
+		return c.regions[asid]
+	}
+	return nil
+}
+
+// addRegion indexes a new region by its ASID (growing the lookup slice
+// when needed), binds its ledger cell and appends it to regionList; the
+// caller keeps regionList sorted.
+func (c *Cache) addRegion(r *Region) {
+	if int(r.asid) >= len(c.regions) {
+		grown := make([]*Region, int(r.asid)+1)
+		copy(grown, c.regions)
+		c.regions = grown
+	}
+	c.regions[r.asid] = r
+	r.appCell = c.ledger.AppRef(r.asid)
+	c.regionList = append(c.regionList, r)
+}
 
 // Regions returns all partitions sorted by ASID.
 func (c *Cache) Regions() []*Region {
@@ -582,7 +595,7 @@ func (c *Cache) pipeline(ln *accessLane, ref trace.Ref) engine.Result {
 	ln.spans.Begin("molcache_access_region_lookup")
 	r := ln.lastRegion
 	if r == nil || r.asid != ref.ASID {
-		r = c.regions[ref.ASID]
+		r = c.Region(ref.ASID)
 		if r == nil {
 			if ln.shard {
 				// The epoch planner ends an epoch before any first-touch
@@ -664,7 +677,7 @@ func (c *Cache) pipeline(ln *accessLane, ref trace.Ref) engine.Result {
 // retry accounting are per-traversal effects), but no molecule is
 // scanned.
 func (c *Cache) fastLookup(ln *accessLane, r *Region, block uint64, write bool, res *engine.Result) (unreachable bool) {
-	shared := c.sharedRegion
+	shared := c.Region(SharedASID)
 	sharedHere := shared != nil && shared.home.cluster == r.home.cluster
 	hitM := r.index.get(block)
 	if hitM == nil && sharedHere && shared != r {
@@ -745,7 +758,7 @@ func (c *Cache) referenceLookup(ln *accessLane, r *Region, block uint64, write b
 	// Stage 2: Ulmo searches only the sibling tiles whose molecules
 	// contribute to the application's region (or hold shared-bit
 	// molecules, which serve every ASID).
-	shared := c.sharedRegion
+	shared := c.Region(SharedASID)
 	for _, t := range r.home.cluster.tiles {
 		if t == r.home {
 			continue
@@ -803,7 +816,7 @@ func (c *Cache) probeTile(ln *accessLane, r *Region, t *Tile, block uint64, writ
 		}
 	}
 	// Shared molecules respond to all ASIDs on the tile.
-	if shared := c.sharedRegion; shared != nil && shared.home.cluster == t.cluster {
+	if shared := c.Region(SharedASID); shared != nil && shared.home.cluster == t.cluster {
 		sh := shared.byTile[t.id]
 		probes += len(sh)
 		if !hit {
@@ -964,7 +977,7 @@ func (c *Cache) Invalidate(a uint64) (present, dirty bool) {
 					}
 					p, d := m.invalidate(block)
 					if p {
-						if r := c.regions[m.asid]; r != nil {
+						if r := c.Region(m.asid); r != nil {
 							r.indexRemove(block, m)
 						}
 					}
@@ -1000,7 +1013,7 @@ func (c *Cache) FreeInCluster(r *Region) int {
 // reachable); only the first-searched tile and the preferred allocation
 // source change.
 func (c *Cache) Rehome(asid uint16, tile int) error {
-	r := c.regions[asid]
+	r := c.Region(asid)
 	if r == nil {
 		return fmt.Errorf("molecular: no region for ASID %d", asid)
 	}

@@ -268,7 +268,7 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 	seenOwned := make(map[int]uint16, total)
 	for ri := range st.Regions {
 		rs := &st.Regions[ri]
-		if _, dup := c.regions[rs.ASID]; dup {
+		if c.Region(rs.ASID) != nil {
 			return nil, fmt.Errorf("molecular: restore: region for ASID %d appears twice", rs.ASID)
 		}
 		if rs.HomeTile < 0 || rs.HomeTile >= tiles {
@@ -343,12 +343,7 @@ func RestoreCache(cfg Config, st CacheState) (*Cache, error) {
 				r.indexMolecule(m)
 			}
 		}
-		r.appCell = c.ledger.AppRef(rs.ASID)
-		c.regions[rs.ASID] = r
-		if rs.ASID == SharedASID {
-			c.sharedRegion = r
-		}
-		c.regionList = append(c.regionList, r)
+		c.addRegion(r)
 	}
 	sort.Slice(c.regionList, func(i, j int) bool {
 		return c.regionList[i].asid < c.regionList[j].asid

@@ -144,9 +144,22 @@ func (r *Source) Perm(n int) []int {
 // theta (theta > 0, typically around 0.8-1.2 for cache workloads). It uses
 // the classic inverse-CDF method over a precomputed table, which is exact
 // and fast for the table sizes cache workloads need.
+//
+// A guide table (the cutpoint method) narrows each inverse-CDF search to
+// a few buckets. guide[k+1] is the rank the full search returns for the
+// cutpoint u = k/m, for k in [-1, m+1] (the two outer entries are the
+// first and last rank). The bucket count m is a power of two, so both
+// u·m and k/m are exact in float64 and floor(u·m) = k places u in
+// [k/m, (k+1)/m). The search result is monotone in u, so the answer for
+// u lies in [guide[k], guide[k+3]], one bucket of margin on either side;
+// searching only that slice with the same cdf[i] < u predicate returns
+// exactly the rank the full search returns. The table holds 4 B × (m+3)
+// entries, at most 1/8 of the CDF's 8 B × n; n < 16 gets no table.
 type Zipf struct {
-	src *Source
-	cdf []float64
+	src     *Source
+	cdf     []float64
+	guide   []int32
+	buckets float64 // m
 }
 
 // NewZipf builds a Zipf sampler over n items with exponent theta.
@@ -167,17 +180,42 @@ func NewZipf(src *Source, n int, theta float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{src: src, cdf: cdf}
+	z := &Zipf{src: src, cdf: cdf}
+	m := 0 // the largest power of two with 4 B × (m+3) <= n B
+	for b := 1; 4*(b+3) <= n; b *= 2 {
+		m = b
+	}
+	if m > 0 && n <= 1<<31-1 {
+		z.buckets = float64(m)
+		z.guide = make([]int32, m+3)
+		z.guide[m+2] = int32(n - 1)
+		for k := 0; k <= m; k++ {
+			z.guide[k+1] = int32(searchCDF(cdf, float64(k)/z.buckets, 0, n-1))
+		}
+	}
+	return z
 }
 
 // Next returns the next sample; rank 0 is the most popular item.
-func (z *Zipf) Next() int {
-	u := z.src.Float64()
-	// Binary search for the first cdf entry >= u.
+func (z *Zipf) Next() int { return z.rank(z.src.Float64()) }
+
+// rank maps u in [0, 1) to the first rank whose cdf entry is >= u (the
+// last rank if none is), through the guide table when there is one.
+func (z *Zipf) rank(u float64) int {
 	lo, hi := 0, len(z.cdf)-1
+	if z.guide != nil {
+		k := int(u * z.buckets)
+		lo, hi = int(z.guide[k]), int(z.guide[k+3])
+	}
+	return searchCDF(z.cdf, u, lo, hi)
+}
+
+// searchCDF binary-searches cdf[lo..hi] for the first entry >= u,
+// returning hi when no entry in the slice is.
+func searchCDF(cdf []float64, u float64, lo, hi int) int {
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
+		if cdf[mid] < u {
 			lo = mid + 1
 		} else {
 			hi = mid

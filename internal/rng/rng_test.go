@@ -245,3 +245,77 @@ func TestSplitMix64KnownValues(t *testing.T) {
 		}
 	}
 }
+
+// referenceRank is Zipf.Next's original full binary search: the first
+// cdf entry >= u, or the last rank if none is. The guide table must
+// reproduce it exactly.
+func referenceRank(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfMatchesBinarySearch locks the guide-table search to the full
+// binary search on every (n, theta) the SPEC and embedded generators
+// build (internal/workload/bench.go: region bytes / 64-byte lines), plus
+// the smallest n. The adversarial u values sit exactly on and one ulp
+// either side of every cdf entry and every bucket cutpoint, where a
+// narrowed search range that missed the answer would show first.
+func TestZipfMatchesBinarySearch(t *testing.T) {
+	const kb = 1024
+	cases := []struct {
+		n     int
+		theta float64
+	}{
+		{1536 * kb / 64, 1.1},  // mcf.hot
+		{256 * kb / 64, 1.2},   // ammp.hot
+		{1024 * kb / 64, 1.0},  // parser.dict
+		{96 * kb / 64, 1.1},    // crafty.tables
+		{192 * kb / 64, 0.8},   // gcc.ir
+		{128 * kb / 64, 0.7},   // gzip.window
+		{160 * kb / 64, 0.55},  // twolf.cells
+		{256 * kb / 64, 0.9},   // gap.heap
+		{1024 * kb / 64, 1.05}, // NAT.table
+		{1, 1.0}, {2, 1.0}, {3, 0.8},
+	}
+	for _, tc := range cases {
+		z := NewZipf(New(uint64(tc.n)), tc.n, tc.theta)
+		if tc.n >= 16 && z.guide == nil {
+			t.Errorf("n=%d: no guide table", tc.n)
+		}
+		if got, limit := 4*len(z.guide), len(z.cdf); got > limit { // 1/8 of 8 B per entry
+			t.Errorf("n=%d: guide table %d B exceeds 1/8 of the CDF (%d B)", tc.n, got, limit)
+		}
+		us := []float64{0, math.Nextafter(1, 0)}
+		for _, c := range z.cdf {
+			us = append(us, c, math.Nextafter(c, 0), math.Nextafter(c, 2))
+		}
+		for k := 0; k < len(z.guide); k++ {
+			c := float64(k) / z.buckets
+			us = append(us, c, math.Nextafter(c, 0), math.Nextafter(c, 2))
+		}
+		for _, u := range us {
+			if u < 0 || u >= 1 {
+				continue // outside Float64's range, so never drawn
+			}
+			if got, want := z.rank(u), referenceRank(z.cdf, u); got != want {
+				t.Fatalf("n=%d theta=%v u=%v: rank %d, full search %d", tc.n, tc.theta, u, got, want)
+			}
+		}
+		// Next draws its u from the source: a twin source fed to the
+		// full search must agree draw for draw.
+		twin := New(uint64(tc.n))
+		for i := 0; i < 10000; i++ {
+			if got, want := z.Next(), referenceRank(z.cdf, twin.Float64()); got != want {
+				t.Fatalf("n=%d theta=%v draw %d: Next %d, full search %d", tc.n, tc.theta, i, got, want)
+			}
+		}
+	}
+}

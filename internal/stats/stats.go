@@ -57,9 +57,14 @@ func (h HitMiss) String() string {
 
 // Ledger tracks hit/miss counts globally and per ASID. The zero value is
 // ready to use.
+//
+// Per-ASID cells live in a slice indexed by ASID, grown to the largest
+// ASID seen: a lookup is a bounds check and a load rather than a map
+// hash, and the cells come out in ASID order for free. The slice costs
+// 8 B × (max ASID + 1) per ledger (512 KiB at worst, for ASID 65535).
 type Ledger struct {
 	Total  HitMiss
-	perApp map[uint16]*HitMiss
+	perApp []*HitMiss // indexed by ASID; nil where no cell exists
 }
 
 // Record adds one access for the given ASID.
@@ -70,39 +75,47 @@ func (l *Ledger) Record(asid uint16, hit bool) {
 
 // AppRef returns the stable counter cell for one ASID, creating it if
 // needed. The pointer stays valid until Reset; hot paths cache it so a
-// per-access Record needs no map lookup (the caller must still bump
-// Total itself).
+// per-access Record needs no lookup (the caller must still bump Total
+// itself).
 func (l *Ledger) AppRef(asid uint16) *HitMiss {
-	if l.perApp == nil {
-		l.perApp = make(map[uint16]*HitMiss)
+	if int(asid) < len(l.perApp) {
+		if hm := l.perApp[asid]; hm != nil {
+			return hm
+		}
+	} else {
+		grown := make([]*HitMiss, int(asid)+1)
+		copy(grown, l.perApp)
+		l.perApp = grown
 	}
-	hm := l.perApp[asid]
-	if hm == nil {
-		hm = &HitMiss{}
-		l.perApp[asid] = hm
-	}
+	hm := &HitMiss{}
+	l.perApp[asid] = hm
 	return hm
 }
 
 // App returns the counters for one ASID (zero value if never seen).
 func (l *Ledger) App(asid uint16) HitMiss {
-	if hm := l.perApp[asid]; hm != nil {
-		return *hm
+	if int(asid) < len(l.perApp) {
+		if hm := l.perApp[asid]; hm != nil {
+			return *hm
+		}
 	}
 	return HitMiss{}
 }
 
-// ASIDs returns the sorted list of ASIDs with recorded accesses.
+// ASIDs returns, in ascending order, every ASID that has a cell: one
+// that Record, AppRef or SetApp has touched since the last Reset, even
+// if it has no accesses yet.
 func (l *Ledger) ASIDs() []uint16 {
-	ids := make([]uint16, 0, len(l.perApp))
-	for id := range l.perApp {
-		ids = append(ids, id)
+	var ids []uint16
+	for id, hm := range l.perApp {
+		if hm != nil {
+			ids = append(ids, uint16(id))
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
-// Reset clears all counters.
+// Reset clears all counters and drops every per-ASID cell.
 func (l *Ledger) Reset() {
 	l.Total = HitMiss{}
 	l.perApp = nil

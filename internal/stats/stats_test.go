@@ -61,6 +61,101 @@ func TestLedgerPerApp(t *testing.T) {
 	}
 }
 
+func TestLedgerASIDsAscendingIncludesUnrecordedCells(t *testing.T) {
+	var l Ledger
+	l.Record(9, true)
+	l.AppRef(4) // a cell with no accesses yet
+	l.Record(300, false)
+	l.SetApp(2, HitMiss{Hits: 5})
+	want := []uint16{2, 4, 9, 300}
+	got := l.ASIDs()
+	if len(got) != len(want) {
+		t.Fatalf("ASIDs = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ASIDs = %v, want %v", got, want)
+		}
+	}
+}
+
+func TestLedgerAppUnseenIsZero(t *testing.T) {
+	var l Ledger
+	if got := l.App(0); got != (HitMiss{}) {
+		t.Errorf("App(0) on an empty ledger = %+v", got)
+	}
+	l.Record(3, true)
+	l.Record(7, false)
+	for _, asid := range []uint16{0, 5, 8, 1000, 65535} {
+		if got := l.App(asid); got != (HitMiss{}) {
+			t.Errorf("App(%d) = %+v, want zero", asid, got)
+		}
+	}
+}
+
+func TestLedgerMaxASID(t *testing.T) {
+	var l Ledger
+	l.Record(65535, false)
+	l.Record(65535, true)
+	if got := l.App(65535); got.Hits != 1 || got.Misses != 1 {
+		t.Errorf("App(65535) = %+v", got)
+	}
+	if ids := l.ASIDs(); len(ids) != 1 || ids[0] != 65535 {
+		t.Errorf("ASIDs = %v, want [65535]", ids)
+	}
+}
+
+// AppRef cells must survive the ledger growing to a larger ASID: the
+// cache regions and hot paths hold them across later admissions.
+func TestLedgerAppRefStableAcrossGrowth(t *testing.T) {
+	var l Ledger
+	cell := l.AppRef(1)
+	cell.Record(true)
+	for _, asid := range []uint16{2, 64, 4096, 65535} {
+		l.Record(asid, false)
+	}
+	if l.AppRef(1) != cell {
+		t.Fatal("AppRef(1) moved after the ledger grew")
+	}
+	if l.SetApp(1, HitMiss{Misses: 3}) != cell || cell.Misses != 3 {
+		t.Fatal("SetApp did not write through the existing cell")
+	}
+	if got := l.App(1); got != (HitMiss{Misses: 3}) {
+		t.Errorf("App(1) = %+v", got)
+	}
+}
+
+func TestLedgerResetDropsCells(t *testing.T) {
+	var l Ledger
+	old := l.AppRef(5)
+	l.Record(2, true)
+	l.Reset()
+	if ids := l.ASIDs(); len(ids) != 0 {
+		t.Errorf("ASIDs after Reset = %v, want none", ids)
+	}
+	if got := l.App(5); got != (HitMiss{}) {
+		t.Errorf("App(5) after Reset = %+v", got)
+	}
+	if l.AppRef(5) == old {
+		t.Error("AppRef after Reset returned the dropped cell")
+	}
+}
+
+// TestLedgerRecordZeroAllocs guards the per-access path: once an ASID
+// has a cell, recording against it allocates nothing.
+func TestLedgerRecordZeroAllocs(t *testing.T) {
+	var l Ledger
+	l.Record(3, true)
+	l.Record(1, true)
+	allocs := testing.AllocsPerRun(1000, func() {
+		l.Record(3, false)
+		l.Record(1, true)
+	})
+	if allocs != 0 {
+		t.Errorf("Record on existing ASIDs allocates %v times per run, want 0", allocs)
+	}
+}
+
 // Property: ledger total always equals the sum over apps.
 func TestLedgerConsistencyProperty(t *testing.T) {
 	f := func(events []uint16) bool {
