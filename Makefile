@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race race-shard race-serve vet lint bench bench-micro fuzz faults obs-smoke soak clean
+.PHONY: all build test race race-shard race-serve race-cmp vet lint bench bench-micro fuzz faults obs-smoke soak clean
 
 all: build vet lint test
 
@@ -47,6 +47,12 @@ bench:
 race-shard:
 	$(GO) test -race -count=3 -run 'Sharded|ShardLane|AccessBatch|AssignClusters|MergedEventOrder' . ./internal/shard
 
+# Stress the CMP's read-ahead under the race detector: Run draws every
+# core's generator on a second goroutine, and the repeated runs check it
+# still matches a plain Step loop (the CI race-stress job).
+race-cmp:
+	$(GO) test -race -count=3 -run 'RunMatchesStep|Ahead' ./internal/cmp ./internal/runner
+
 # Stress the serving layer under the race detector: N concurrent
 # clients against a live molcached instance, then assert the journal is
 # gap-free and the /metrics totals match (the CI race-serve job).
@@ -56,7 +62,7 @@ race-serve:
 # Just the hot-path micro benches (fast; includes the telemetry
 # overhead comparison).
 bench-micro:
-	$(GO) test -bench 'Access|CMPStep|WorkloadGeneration' -benchmem -run=NONE .
+	$(GO) test -bench 'Access|CMPStep|CMPRun|WorkloadGeneration' -benchmem -run=NONE .
 
 # Fuzz the trace and checkpoint decoders, the molvet directive parser
 # and the molcached wire-protocol decoder (FUZZTIME per target).

@@ -176,8 +176,9 @@ func TestAccessMissPathZeroAllocs(t *testing.T) {
 
 // TestWriteAccessBench runs the access grid through testing.Benchmark
 // and writes ns/op, allocs/op and the fast-over-reference speedup as a
-// telemetry snapshot to $BENCH_OUT. Skipped unless BENCH_OUT is set:
-// `make bench` (and the CI bench job) set it to BENCH_access.json.
+// host-stamped (stampHost) telemetry snapshot to $BENCH_OUT. Skipped
+// unless BENCH_OUT is set: `make bench` (and the CI bench job) set it to
+// BENCH_access.json.
 func TestWriteAccessBench(t *testing.T) {
 	out := os.Getenv("BENCH_OUT")
 	if out == "" {
@@ -210,6 +211,7 @@ func TestWriteAccessBench(t *testing.T) {
 			}
 		}
 	}
+	stampHost(reg)
 	data, err := reg.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)

@@ -112,8 +112,9 @@ func TestSpanSampledPathRecords(t *testing.T) {
 
 // TestWriteObsBench runs the tracing grid through testing.Benchmark and
 // writes ns/op, allocs/op and each variant's overhead over "off" as a
-// telemetry snapshot to $BENCH_OBS_OUT. Skipped unless BENCH_OBS_OUT is
-// set: `make bench` (and the CI bench job) set it to BENCH_obs.json.
+// host-stamped (stampHost) telemetry snapshot to $BENCH_OBS_OUT.
+// Skipped unless BENCH_OBS_OUT is set: `make bench` (and the CI bench
+// job) set it to BENCH_obs.json.
 func TestWriteObsBench(t *testing.T) {
 	out := os.Getenv("BENCH_OBS_OUT")
 	if out == "" {
@@ -135,6 +136,7 @@ func TestWriteObsBench(t *testing.T) {
 		}
 		t.Logf("%s: %.1f ns/op, %d allocs/op", v.name, ns, r.AllocsPerOp())
 	}
+	stampHost(reg)
 	data, err := reg.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)

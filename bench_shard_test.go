@@ -128,9 +128,9 @@ func BenchmarkShardedRun(b *testing.B) {
 
 // TestWriteShardBench runs serial AccessBatch plus the sharded grid
 // through testing.Benchmark and writes ns/op and the serial-over-shard
-// speedups as a telemetry snapshot to $BENCH_SHARD_OUT. Skipped unless
-// BENCH_SHARD_OUT is set: `make bench` (and the CI bench job) set it to
-// BENCH_shard.json.
+// speedups as a host-stamped (stampHost) telemetry snapshot to
+// $BENCH_SHARD_OUT. Skipped unless BENCH_SHARD_OUT is set: `make bench`
+// (and the CI bench job) set it to BENCH_shard.json.
 func TestWriteShardBench(t *testing.T) {
 	out := os.Getenv("BENCH_SHARD_OUT")
 	if out == "" {
@@ -164,6 +164,7 @@ func TestWriteShardBench(t *testing.T) {
 			t.Logf("batch%d shards%d: %.1f ns/access, %.2fx vs serial", batch, shards, ns, speedup)
 		}
 	}
+	stampHost(reg)
 	data, err := reg.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)

@@ -399,9 +399,9 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkCMPStep measures the full CMP substrate pipeline (generator ->
-// L1 -> coherence -> L2) per reference.
-func BenchmarkCMPStep(b *testing.B) {
+// specSystem builds the CMP substrate running the four SPEC models over
+// a 1 MB 4-way shared L2.
+func specSystem(b *testing.B) *molcache.System {
 	l2 := cache.MustNew(cache.Config{Size: 1 * addr.MB, Ways: 4, LineSize: 64})
 	sys, err := molcache.NewSystem(l2, molcache.SystemConfig{})
 	if err != nil {
@@ -413,11 +413,28 @@ func BenchmarkCMPStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return sys
+}
+
+// BenchmarkCMPStep measures the full CMP substrate pipeline (generator ->
+// L1 -> coherence -> L2) per reference, one Step at a time: every
+// generator is drawn inline.
+func BenchmarkCMPStep(b *testing.B) {
+	sys := specSystem(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Step()
 	}
+}
+
+// BenchmarkCMPRun is BenchmarkCMPStep through Run, which reads the
+// generators ahead on a second goroutine.
+func BenchmarkCMPRun(b *testing.B) {
+	sys := specSystem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sys.Run(b.N)
 }
 
 // BenchmarkPowerModel measures one full organization search.

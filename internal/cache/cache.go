@@ -138,26 +138,51 @@ func (c *Cache) Ledger() *stats.Ledger { return &c.ledger }
 
 // Access implements engine.Cache.
 func (c *Cache) Access(r trace.Ref) engine.Result {
+	hit, dirty, evicted := c.access(r)
+	res := engine.Result{Hit: hit, TagProbes: c.ways, DataReads: 1}
+	if !hit {
+		res.LinesFetched = 1
+		if evicted {
+			res.LinesEvicted = 1
+			if dirty {
+				res.Writebacks = 1
+			}
+		}
+	}
+	return res
+}
+
+// AccessHit is Access for callers that need only the outcome: whether r
+// hit, and whether the line it hit was already dirty. The CMP drives its
+// private L1s through it.
+func (c *Cache) AccessHit(r trace.Ref) (hit, wasDirty bool) {
+	hit, dirty, _ := c.access(r)
+	return hit, hit && dirty
+}
+
+// access is the one lookup-and-fill body behind Access and AccessHit.
+// dirty reports whether the line r hit — on a miss, the victim it
+// evicted — was dirty before r; evicted reports whether a miss
+// displaced a valid line.
+func (c *Cache) access(r trace.Ref) (hit, dirty, evicted bool) {
 	block := r.Addr >> c.shift
 	set := int(block & c.mask)
 	tag := block >> c.setBits
 	base := set * c.ways
 
-	res := engine.Result{TagProbes: c.ways, DataReads: 1}
-
 	// Parallel tag match across the set.
 	for w := 0; w < c.ways; w++ {
 		ln := &c.lines[base+w]
 		if ln.valid && ln.tag == tag {
+			dirty = ln.dirty
 			if r.Kind == trace.Write {
 				ln.dirty = true
 			}
 			ln.asid = r.ASID
 			c.policy.Touch(set, w)
-			res.Hit = true
 			c.ledger.Record(r.ASID, true)
-			c.ins.record(true, res.TagProbes, 0)
-			return res
+			c.ins.record(true, c.ways, 0)
+			return true, dirty, false
 		}
 	}
 
@@ -171,11 +196,8 @@ func (c *Cache) Access(r trace.Ref) engine.Result {
 	}
 	if way < 0 {
 		way = c.policy.Victim(set)
-		victim := &c.lines[base+way]
-		res.LinesEvicted = 1
-		if victim.dirty {
-			res.Writebacks = 1
-		}
+		evicted = true
+		dirty = c.lines[base+way].dirty
 	}
 	c.lines[base+way] = line{
 		tag:   tag,
@@ -184,10 +206,13 @@ func (c *Cache) Access(r trace.Ref) engine.Result {
 		dirty: r.Kind == trace.Write,
 	}
 	c.policy.Insert(set, way)
-	res.LinesFetched = 1
 	c.ledger.Record(r.ASID, false)
-	c.ins.record(false, res.TagProbes, res.Writebacks)
-	return res
+	writebacks := 0
+	if dirty {
+		writebacks = 1
+	}
+	c.ins.record(false, c.ways, writebacks)
+	return false, dirty, evicted
 }
 
 // Contains reports whether the line holding a is resident. It is a

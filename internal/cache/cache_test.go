@@ -120,6 +120,37 @@ func TestWriteHitMarksDirty(t *testing.T) {
 	}
 }
 
+// TestAccessHitReportsDirtyHits: AccessHit reports a hit line's dirty
+// bit from before the access, never a miss victim's, and leaves the
+// cache exactly as Access would.
+func TestAccessHitReportsDirtyHits(t *testing.T) {
+	c, ref := tiny(LRU), tiny(LRU)
+	steps := []struct {
+		r             trace.Ref
+		hit, wasDirty bool
+	}{
+		{read(0), false, false},    // cold miss
+		{write(0), true, false},    // hit on a clean line, dirties it
+		{write(0), true, true},     // hit on the dirty line
+		{read(0), true, true},      // reads see it dirty too
+		{read(256), false, false},  // fills the set's other way
+		{write(512), false, false}, // evicts dirty line 0: a miss is never dirty
+		{write(512), true, true},
+	}
+	for i, st := range steps {
+		hit, dirty := c.AccessHit(st.r)
+		if hit != st.hit || dirty != st.wasDirty {
+			t.Errorf("step %d: AccessHit = (%v, %v), want (%v, %v)", i, hit, dirty, st.hit, st.wasDirty)
+		}
+		if res := ref.Access(st.r); res.Hit != hit {
+			t.Errorf("step %d: Access hit %v, AccessHit %v", i, res.Hit, hit)
+		}
+	}
+	if c.Ledger().Total != ref.Ledger().Total || c.ValidLines() != ref.ValidLines() {
+		t.Errorf("AccessHit and Access diverged: %+v vs %+v", c.Ledger().Total, ref.Ledger().Total)
+	}
+}
+
 func TestDirectMapped(t *testing.T) {
 	c := MustNew(Config{Size: 256, Ways: 1, LineSize: 64}) // 4 sets
 	c.Access(read(0))

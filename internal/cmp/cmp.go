@@ -6,15 +6,24 @@
 // protocol (internal/coherence) keeps the private L1s coherent, and the system can
 // capture the L1-miss reference stream — the trace the paper feeds into
 // its modified Dinero.
+//
+// The simulation runs on one goroutine. The one exception is the input:
+// during Run the cores' workload generators are drawn ahead on a second
+// goroutine (runner.Ahead), since nothing the simulation computes feeds
+// back into them. Generators must therefore not share
+// mutable state with each other or with the caller; cores handed the
+// very same Generator value are detected and drawn inline.
 package cmp
 
 import (
 	"fmt"
+	"reflect"
 
 	"molcache/internal/addr"
 	"molcache/internal/cache"
 	"molcache/internal/coherence"
 	"molcache/internal/engine"
+	"molcache/internal/runner"
 	"molcache/internal/stats"
 	"molcache/internal/telemetry"
 	"molcache/internal/trace"
@@ -90,6 +99,37 @@ type core struct {
 	readyAt uint64
 	cycles  uint64 // total stall+issue cycles consumed
 	refs    uint64
+
+	// shared marks a generator another core also draws from: their
+	// interleaving depends on timing, so it is never drawn ahead.
+	shared bool
+	// ahead is gen's read-ahead stream during Run (nil otherwise).
+	ahead *runner.AheadStream[workload.Access]
+	// backlog holds references drawn ahead by an earlier Run but not
+	// issued, and fault the panic gen raised right after them; both are
+	// consumed before gen is drawn again, so the stream continues
+	// exactly where it was.
+	backlog []workload.Access
+	fault   any
+}
+
+// next draws the core's next reference: the backlog first, then the
+// read-ahead stream, else the generator itself. It panics with the
+// generator's panic value at the draw where the generator panicked.
+func (c *core) next() workload.Access {
+	if len(c.backlog) > 0 {
+		a := c.backlog[0]
+		c.backlog = c.backlog[1:]
+		return a
+	}
+	if c.ahead != nil {
+		return c.ahead.Next()
+	}
+	if f := c.fault; f != nil {
+		c.fault = nil
+		panic(f)
+	}
+	return c.gen.Next()
 }
 
 // System is the CMP: cores round-robin into the shared L2.
@@ -108,6 +148,9 @@ type System struct {
 	l1Ledger stats.Ledger // per-ASID L1 hit/miss
 	captured []trace.Ref
 	issued   uint64
+
+	// ahead reads the cores' generators ahead during Run (nil otherwise).
+	ahead *runner.Ahead[workload.Access]
 
 	// OnL2Access, when set, observes every L2 access (the resize
 	// controller's Tick hooks in here).
@@ -146,6 +189,11 @@ func MustNew(l2 engine.Cache, cfg Config) *System {
 
 // AddCore attaches a core running gen under asid. Core IDs are assigned
 // in order; at most coherence.MaxCaches cores.
+//
+// During Run, gen is drawn ahead on another goroutine, so it must not
+// share mutable state with other cores' generators or with the caller.
+// Passing the same Generator value to several cores is allowed: those
+// cores draw it inline, in issue order.
 func (s *System) AddCore(asid uint16, gen workload.Generator) error {
 	if len(s.cores) >= coherence.MaxCaches {
 		return fmt.Errorf("cmp: at most %d cores supported", coherence.MaxCaches)
@@ -157,13 +205,30 @@ func (s *System) AddCore(asid uint16, gen workload.Generator) error {
 	if s.reg != nil {
 		l1.AttachTelemetry(s.reg, l1Instance(uint8(len(s.cores))))
 	}
-	s.cores = append(s.cores, &core{
+	c := &core{
 		id:   uint8(len(s.cores)),
 		asid: asid,
 		gen:  gen,
 		l1:   l1,
-	})
+	}
+	for _, x := range s.cores {
+		if sameGenerator(x.gen, gen) {
+			x.shared, c.shared = true, true
+		}
+	}
+	s.cores = append(s.cores, c)
 	return nil
+}
+
+// sameGenerator reports whether a and b are one generator. Values of a
+// non-comparable dynamic type are never the same (== would panic).
+func sameGenerator(a, b workload.Generator) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	if !va.IsValid() || !vb.IsValid() || va.Type() != vb.Type() ||
+		!va.Comparable() || !vb.Comparable() {
+		return false
+	}
+	return a == b
 }
 
 // Cores returns the number of attached cores.
@@ -226,12 +291,62 @@ func (s *System) Step() uint8 {
 }
 
 // Run issues total references across the cores under the timing model.
+// It issues exactly what a loop of total Steps would; meanwhile every
+// core whose generator is its own draws it ahead on another goroutine,
+// never more than total references. What is drawn but not issued when
+// Run returns stays queued on the core, so a later Step or Run
+// continues the same stream.
 func (s *System) Run(total int) {
 	if len(s.cores) == 0 {
 		return
 	}
+	s.startAhead(total)
+	defer s.stopAhead()
 	for i := 0; i < total; i++ {
 		s.Step()
+	}
+}
+
+// startAhead starts reading ahead for every core that may draw ahead
+// and still needs references beyond its backlog.
+func (s *System) startAhead(total int) {
+	var feeds []runner.Feed[workload.Access]
+	var cores []*core
+	for _, c := range s.cores {
+		limit := total - len(c.backlog)
+		if c.shared || c.fault != nil || limit <= 0 {
+			continue
+		}
+		feeds = append(feeds, runner.Feed[workload.Access]{Next: c.gen.Next, Limit: limit})
+		cores = append(cores, c)
+	}
+	if len(feeds) == 0 {
+		return
+	}
+	s.ahead = runner.NewAhead(feeds...)
+	for i, c := range cores {
+		c.ahead = s.ahead.Stream(i)
+	}
+}
+
+// stopAhead ends reading ahead and queues what each core's stream drew
+// but the core did not issue (and a panic still to be raised) behind its
+// backlog.
+func (s *System) stopAhead() {
+	if s.ahead == nil {
+		return
+	}
+	rest := s.ahead.Stop()
+	s.ahead = nil
+	i := 0
+	for _, c := range s.cores {
+		if c.ahead == nil {
+			continue
+		}
+		c.ahead = nil
+		c.backlog = append(c.backlog, rest[i].Items...)
+		c.fault = rest[i].Fault
+		i++
 	}
 }
 
@@ -264,7 +379,7 @@ func (s *System) CoreCPI(asid uint16) float64 {
 
 // issue pushes one reference from core c through L1, coherence and L2.
 func (s *System) issue(c *core) {
-	acc := c.gen.Next()
+	acc := c.next()
 	ref := trace.Ref{Addr: acc.Addr, ASID: c.asid, CPU: c.id, Kind: trace.Read}
 	if acc.Write {
 		ref.Kind = trace.Write
@@ -272,28 +387,33 @@ func (s *System) issue(c *core) {
 	s.issued++
 	line := addr.LineAlign(ref.Addr, s.cfg.L1.LineSize)
 
-	l1res := c.l1.Access(ref)
-	s.l1Ledger.Record(ref.ASID, l1res.Hit)
+	hit, wasDirty := c.l1.AccessHit(ref)
+	s.l1Ledger.Record(ref.ASID, hit)
 	c.refs++
 
 	// Drive the MESI directory: every write consults it (a write hit on
-	// a Shared line still needs an ownership upgrade); read hits are
-	// quiet (the holder is already at least Shared).
+	// a Shared line still needs an ownership upgrade) except a write
+	// hit on a dirty line, which only counts: a dirty L1 copy means
+	// this core owns the line Modified (internal/invariant checks it),
+	// and the directory answers such a write with no action. Read hits
+	// are quiet (the holder is already at least Shared).
 	// Core IDs are bounded by AddCore, so the directory never rejects
 	// them; a rejection would mean internal corruption, and skipping the
 	// coherence actions (never applying a bogus mask) is the safe
 	// degradation.
 	if ref.Kind == trace.Write {
-		if act, err := s.dir.Write(line, int(c.id)); err == nil {
+		if wasDirty {
+			s.dir.CountOwnerWrite()
+		} else if act, err := s.dir.Write(line, int(c.id)); err == nil {
 			s.apply(act, line)
 		}
-	} else if !l1res.Hit {
+	} else if !hit {
 		if act, err := s.dir.Read(line, int(c.id)); err == nil {
 			s.apply(act, line)
 		}
 	}
 
-	if l1res.Hit {
+	if hit {
 		c.cycles += s.cfg.Latency.L1Hit
 		c.readyAt += s.cfg.Latency.L1Hit
 		if s.latency != nil {

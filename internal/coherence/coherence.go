@@ -84,29 +84,9 @@ type entry struct {
 	dirty bool
 }
 
-// Directory is the protocol engine.
-type Directory struct {
-	lines map[uint64]*entry
-	stats Stats
-
-	// tracer and ins are the telemetry attachments (nil by default:
-	// each request pays one pointer check when telemetry is off).
-	tracer *telemetry.Tracer
-	ins    *dirInstruments
-}
-
-// NewDirectory returns an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{lines: make(map[uint64]*entry)}
-}
-
-// Stats returns accumulated protocol counters.
-func (d *Directory) Stats() Stats { return d.stats }
-
-// StateOf reports cache's state for a line (a testing/inspection aid).
-func (d *Directory) StateOf(line uint64, cacheID int) State {
-	e := d.lines[line]
-	if e == nil || e.sharers&(1<<uint(cacheID)) == 0 {
+// state is cacheID's MESI state for the line.
+func (e entry) state(cacheID int) State {
+	if e.sharers&(1<<uint(cacheID)) == 0 {
 		return Invalid
 	}
 	if e.owner == int8(cacheID) {
@@ -118,6 +98,32 @@ func (d *Directory) StateOf(line uint64, cacheID int) State {
 	return Shared
 }
 
+// Directory is the protocol engine.
+type Directory struct {
+	// lines holds entries by value: a lookup is one hash, with no
+	// per-line heap object behind it.
+	lines map[uint64]entry
+	stats Stats
+
+	// tracer and ins are the telemetry attachments (nil by default:
+	// each request pays one pointer check when telemetry is off).
+	tracer *telemetry.Tracer
+	ins    *dirInstruments
+}
+
+// NewDirectory returns an empty directory.
+func NewDirectory() *Directory {
+	return &Directory{lines: make(map[uint64]entry)}
+}
+
+// Stats returns accumulated protocol counters.
+func (d *Directory) Stats() Stats { return d.stats }
+
+// StateOf reports cache's state for a line (a testing/inspection aid).
+func (d *Directory) StateOf(line uint64, cacheID int) State {
+	return d.lines[line].state(cacheID)
+}
+
 // Read processes a processor read from cacheID and returns the actions.
 // A cache ID outside [0, MaxCaches) is rejected with an error and does
 // not perturb directory state.
@@ -126,16 +132,16 @@ func (d *Directory) Read(line uint64, cacheID int) (Action, error) {
 		return Action{WritebackFrom: -1}, err
 	}
 	d.stats.Reads++
-	e := d.lines[line]
+	e, ok := d.lines[line]
 	bit := uint16(1) << uint(cacheID)
-	if e == nil {
+	if !ok {
 		// First touch: Exclusive.
-		d.lines[line] = &entry{sharers: bit, owner: int8(cacheID)}
+		d.lines[line] = entry{sharers: bit, owner: int8(cacheID)}
 		return Action{NewState: Exclusive, WritebackFrom: -1}, nil
 	}
 	if e.sharers&bit != 0 {
 		// Already holding: state unchanged.
-		return Action{NewState: d.StateOf(line, cacheID), WritebackFrom: -1}, nil
+		return Action{NewState: e.state(cacheID), WritebackFrom: -1}, nil
 	}
 	act := Action{NewState: Shared, WritebackFrom: -1}
 	if e.owner >= 0 {
@@ -153,6 +159,7 @@ func (d *Directory) Read(line uint64, cacheID int) (Action, error) {
 		e.owner = -1
 	}
 	e.sharers |= bit
+	d.lines[line] = e
 	return act, nil
 }
 
@@ -165,18 +172,18 @@ func (d *Directory) Write(line uint64, cacheID int) (Action, error) {
 	}
 	d.stats.Writes++
 	bit := uint16(1) << uint(cacheID)
-	e := d.lines[line]
-	if e == nil {
-		d.lines[line] = &entry{sharers: bit, owner: int8(cacheID), dirty: true}
-		return Action{NewState: Modified, WritebackFrom: -1}, nil
-	}
 	act := Action{NewState: Modified, WritebackFrom: -1}
+	e, ok := d.lines[line]
 	switch {
+	case !ok:
+		// First touch: Modified.
 	case e.owner == int8(cacheID):
-		if !e.dirty {
-			// E -> M: silent upgrade.
-			d.stats.SilentUpgrades++
+		if e.dirty {
+			// M -> M: nothing changes.
+			return act, nil
 		}
+		// E -> M: silent upgrade.
+		d.stats.SilentUpgrades++
 	case e.sharers&bit != 0:
 		// S -> M: invalidate the other sharers.
 		d.stats.OwnershipUpgrades++
@@ -192,11 +199,16 @@ func (d *Directory) Write(line uint64, cacheID int) (Action, error) {
 			d.observeWriteback()
 		}
 	}
-	e.sharers = bit
-	e.owner = int8(cacheID)
-	e.dirty = true
+	d.lines[line] = entry{sharers: bit, owner: int8(cacheID), dirty: true}
 	return act, nil
 }
+
+// CountOwnerWrite counts a write by a cache that holds the line
+// Modified, without looking the line up. Write answers such a write with
+// an empty Action and leaves every state as it was, so a caller that
+// knows its copy is dirty may count it here instead; Stats comes out the
+// same.
+func (d *Directory) CountOwnerWrite() { d.stats.Writes++ }
 
 // Evict records that cacheID silently dropped the line (a replacement).
 // dirty copies are written back by the evicting cache itself; the
@@ -206,8 +218,8 @@ func (d *Directory) Evict(line uint64, cacheID int) error {
 	if err := checkCacheID(cacheID); err != nil {
 		return err
 	}
-	e := d.lines[line]
-	if e == nil {
+	e, ok := d.lines[line]
+	if !ok {
 		return nil
 	}
 	bit := uint16(1) << uint(cacheID)
@@ -218,6 +230,8 @@ func (d *Directory) Evict(line uint64, cacheID int) error {
 	}
 	if e.sharers == 0 {
 		delete(d.lines, line)
+	} else {
+		d.lines[line] = e
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
 )
@@ -125,6 +126,38 @@ func TestRepeatedAccessIsQuiet(t *testing.T) {
 		if act.NewState != Modified {
 			t.Errorf("self read state = %v, want M retained", act.NewState)
 		}
+	}
+}
+
+// TestOwnerWriteChangesNothing: a write by the line's dirty owner
+// yields no action and leaves every entry as it was, so counting it with
+// CountOwnerWrite gives the same Stats as calling Write.
+func TestOwnerWriteChangesNothing(t *testing.T) {
+	lines := func(d *Directory) map[uint64]LineInfo {
+		out := map[uint64]LineInfo{}
+		d.EachLine(func(l LineInfo) { out[l.Line] = l })
+		return out
+	}
+	build := func() *Directory {
+		d := NewDirectory()
+		d.Read(1, 0)
+		d.Read(1, 1)
+		d.Write(2, 1)
+		d.Write(3, 2)
+		return d
+	}
+	d, counted := build(), build()
+	before := lines(d)
+	act, err := d.Write(2, 1)
+	if err != nil || act != (Action{NewState: Modified, WritebackFrom: -1}) {
+		t.Fatalf("owner write = %+v, %v; want no action", act, err)
+	}
+	if after := lines(d); !maps.Equal(after, before) {
+		t.Errorf("owner write changed entries: %+v -> %+v", before, after)
+	}
+	counted.CountOwnerWrite()
+	if d.Stats() != counted.Stats() {
+		t.Errorf("Stats after Write %+v, after CountOwnerWrite %+v", d.Stats(), counted.Stats())
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package runner is the parallel experiment scheduler: it fans
 // independent simulation jobs (sweep points, paper tables and figures,
 // fault campaigns) across a fixed pool of workers while keeping every
-// result deterministic.
+// result deterministic. It also owns the read-ahead stream (Ahead) a
+// single run uses to draw its input on a second goroutine.
 //
 // The paper's evaluation is embarrassingly parallel — Tables 1-5 and
 // Figures 5-6 replay the same captured traces through dozens of cache
@@ -23,6 +24,15 @@
 //   - The first job error cancels the context handed to every other job;
 //     Map returns the error of the lowest submission index so the
 //     reported failure is deterministic too.
+//
+// Ahead is the one use of concurrency inside a single run: it draws a
+// pure, privately owned input stream (a CMP core's workload generator)
+// on a second goroutine, a chunk at a time, and the run consumes the
+// items in order. Nothing the simulation computes feeds back into such
+// a stream, so reading it ahead changes no result; the simulation state
+// itself — caches, directory, ledgers — stays on one goroutine. A panic
+// in the stream is raised again on the consumer at the draw where it
+// happened.
 //
 // Progress and throughput flow through internal/telemetry: the pool
 // maintains runner_* counters/gauges when a Registry is attached, emits

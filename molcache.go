@@ -271,7 +271,12 @@ func NewController(c *MolecularCache, cfg ResizeConfig) (*Controller, error) {
 	return resize.New(c, cfg)
 }
 
-// NewSystem builds the CMP substrate over the shared L2.
+// NewSystem builds the CMP substrate over the shared L2. Attach cores
+// with System.AddCore. During System.Run every core's generator is
+// drawn ahead on another goroutine, so generators must not share
+// mutable state with each other or with the caller; one Generator
+// value given to several cores is drawn inline. Run issues exactly the
+// references a loop of System.Step calls would.
 func NewSystem(l2 Cache, cfg SystemConfig) (*System, error) {
 	return cmp.New(l2, cfg)
 }
